@@ -1,20 +1,21 @@
-"""Search-space sweep throughput: scalar vs batched model engine.
+"""Search-space sweep throughput: batched model engine vs scalar reference.
 
 Times a cold exhaustive sweep (full pruned space x register limits) of the
-paper's j2d5pt and star3d1r search spaces through both engines, verifies the
+paper's j2d5pt and star3d1r search spaces on the batched engine and through
+the scalar reference walk (:mod:`repro.tuning.reference`), verifies the
 answers are identical (same best configuration, exactly equal GFLOPS), and
 measures the cold-campaign delta: one model-only campaign matrix (tune +
-predict jobs) run once with the batched engines and once with everything
-forced down the scalar path.  Results go to ``BENCH_sweep.json`` at the
-repository root.
+predict jobs) run through the scheduler on the batched engine, and every
+one of its payloads recomputed with the scalar reference.  Results go to
+``BENCH_sweep.json`` at the repository root.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py [--quick] [--check]
 
 ``--quick`` shrinks the grids for CI smoke runs; ``--check`` exits non-zero
-if any engine pair diverges, the batch sweep speedup falls below 5x, or
-observability — metrics instrumentation plus an armed, actively sampling
+if the engine and the reference diverge, the batch sweep speedup falls
+below 5x, or observability — metrics instrumentation plus an armed, actively sampling
 profiler — adds more than 5% to the campaign wall time.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,8 +33,17 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from benchmarks.common import write_bench  # noqa: E402
 from repro import model as model_pkg  # noqa: E402
 from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore  # noqa: E402
+from repro.campaign.jobs import (  # noqa: E402
+    JobSpec,
+    predict_config,
+    predict_payload,
+    tune_payload,
+)
 from repro.ir.stencil import GridSpec  # noqa: E402
+from repro.model.roofline import predict_performance  # noqa: E402
+from repro.sim.timing import simulate_performance  # noqa: E402
 from repro.stencils.library import load_pattern  # noqa: E402
+from repro.tuning import reference  # noqa: E402
 from repro.tuning.exhaustive import exhaustive_search  # noqa: E402
 from repro.tuning.search_space import REGISTER_LIMITS, default_search_space  # noqa: E402
 
@@ -48,40 +57,23 @@ SWEEP_SPEEDUP_MIN = 5.0
 OVERHEAD_MAX = 0.05
 
 
-@contextmanager
-def _scalar_everything():
-    """Force every engine decision down the scalar path.
-
-    Patches the single engine-resolution choke point plus the scheduler's
-    predict-batching predicate, so tuning, exhaustive sweeps and campaign
-    predict jobs all run exactly as they did before the batch engine landed.
-    """
-    import repro.campaign.scheduler as scheduler_module
-    import repro.model.batch as batch_module
-    import repro.tuning.autotuner as autotuner_module
-    import repro.tuning.exhaustive as exhaustive_module
-
-    def scalar_resolve(engine, pattern):
-        return "scalar"
-
-    patched = [
-        (batch_module, "resolve_engine", batch_module.resolve_engine),
-        (autotuner_module, "resolve_engine", autotuner_module.resolve_engine),
-        (exhaustive_module, "resolve_engine", exhaustive_module.resolve_engine),
-        (scheduler_module, "predict_job_batchable", scheduler_module.predict_job_batchable),
-    ]
-    try:
-        for module, name, _ in patched[:3]:
-            setattr(module, name, scalar_resolve)
-        scheduler_module.predict_job_batchable = lambda spec: False
-        yield
-    finally:
-        for module, name, original in patched:
-            setattr(module, name, original)
+def reference_payload(job: JobSpec) -> dict:
+    """A tune or predict job's payload, recomputed on the scalar reference."""
+    pattern = load_pattern(job.pattern, job.dtype)
+    grid = job.grid()
+    if job.kind == "tune":
+        top_k = int(job.params_dict().get("top_k", 5))
+        return tune_payload(reference.tune(pattern, grid, job.gpu, top_k=top_k))
+    config = predict_config(job, pattern.ndim)
+    predicted = predict_performance(pattern, grid, config, model_pkg.get_gpu(job.gpu))
+    simulated = simulate_performance(pattern, grid, config, job.gpu)
+    return predict_payload(
+        config, predicted.gflops, simulated.gflops, predicted.bottleneck, simulated.bottleneck
+    )
 
 
 def bench_sweeps(quick: bool) -> list[dict]:
-    """Cold full-space sweep of both paper spaces through both engines."""
+    """Cold full-space sweep of both paper spaces: batch engine and reference."""
     workloads = [
         ("j2d5pt", GridSpec((2048, 2048), 200) if quick else GridSpec((16384, 16384), 1000)),
         ("star3d1r", GridSpec((128, 128, 128), 200) if quick else GridSpec((512, 512, 512), 1000)),
@@ -93,12 +85,12 @@ def bench_sweeps(quick: bool) -> list[dict]:
 
         model_pkg.clear_model_caches()
         start = time.perf_counter()
-        batched = exhaustive_search(pattern, grid, "V100", space=space, engine="batch")
+        batched = exhaustive_search(pattern, grid, "V100", space=space)
         t_batch = time.perf_counter() - start
 
         model_pkg.clear_model_caches()
         start = time.perf_counter()
-        scalar = exhaustive_search(pattern, grid, "V100", space=space, engine="scalar")
+        scalar = reference.exhaustive_search(pattern, grid, "V100", space=space)
         t_scalar = time.perf_counter() - start
 
         identical = (
@@ -126,7 +118,8 @@ def bench_sweeps(quick: bool) -> list[dict]:
 
 
 def bench_campaign(quick: bool) -> dict:
-    """Cold model-only campaign matrix: batched engines vs scalar-everything."""
+    """Cold model-only campaign matrix: the batched scheduler run vs every
+    payload recomputed on the scalar reference."""
     benchmarks = ("j2d5pt", "star3d1r") if quick else ("j2d5pt", "j2d9pt", "gradient2d", "star3d1r")
     spec = CampaignSpec(
         benchmarks=benchmarks,
@@ -138,28 +131,29 @@ def bench_campaign(quick: bool) -> dict:
         interior_3d=(128, 128, 128) if quick else (512, 512, 512),
     )
 
-    def cold_run():
-        model_pkg.clear_model_caches()
-        with ResultStore(":memory:") as store:
-            start = time.perf_counter()
-            outcome = CampaignScheduler(spec, store).run()
-            elapsed = time.perf_counter() - start
-            records = store.export_records()
-        return outcome, elapsed, records
+    jobs = spec.expand()
+    model_pkg.clear_model_caches()
+    with ResultStore(":memory:") as store:
+        start = time.perf_counter()
+        outcome = CampaignScheduler(spec, store).run()
+        t_batch = time.perf_counter() - start
+        batch_payloads = [store.lookup(job) for job in jobs]
+    batch_payloads = [r.payload if r is not None and r.ok else None for r in batch_payloads]
 
-    batch_outcome, t_batch, batch_records = cold_run()
-    with _scalar_everything():
-        scalar_outcome, t_scalar, scalar_records = cold_run()
+    model_pkg.clear_model_caches()
+    start = time.perf_counter()
+    scalar_payloads = [reference_payload(job) for job in jobs]
+    t_scalar = time.perf_counter() - start
 
     return {
-        "jobs": batch_outcome.total,
+        "jobs": outcome.total,
         "kinds": list(spec.kinds),
         "benchmarks": list(benchmarks),
-        "identical": batch_records == scalar_records,
+        "identical": batch_payloads == scalar_payloads,
         "batch_seconds": t_batch,
         "scalar_seconds": t_scalar,
-        "batch_configs_per_s": batch_outcome.configs_per_s,
-        "scalar_configs_per_s": scalar_outcome.configs_per_s,
+        "batch_configs_per_s": outcome.configs_per_s,
+        "scalar_configs_per_s": outcome.configs_evaluated / t_scalar,
         "speedup": t_scalar / t_batch,
     }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import repro
 from repro.core.config import BlockingConfig
@@ -31,6 +31,9 @@ from repro.stencils.library import (
     get_benchmark,
     load_pattern,
 )
+
+if TYPE_CHECKING:
+    from repro.tuning.autotuner import TuningResult
 
 #: The kinds of work a campaign can schedule.
 JOB_KINDS: Tuple[str, ...] = ("tune", "exhaustive", "verify", "baseline", "predict", "fuzz")
@@ -218,15 +221,10 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _run_tune(spec: JobSpec) -> Dict[str, object]:
-    from repro.tuning.autotuner import AutoTuner
-
-    params = spec.params_dict()
-    pattern = load_pattern(spec.pattern, spec.dtype)
-    tuner = AutoTuner(spec.gpu, top_k=int(params.get("top_k", 5)))
-    result = tuner.tune(pattern, spec.grid())
+def tune_payload(result: "TuningResult") -> Dict[str, object]:
+    """The stored payload of one tune job (shared with the service's hot path)."""
     config = result.best_config
-    return {
+    payload = {
         "bT": config.bT,
         "bS": list(config.bS),
         "hS": config.hS,
@@ -237,6 +235,16 @@ def _run_tune(spec: JobSpec) -> Dict[str, object]:
         "explored": result.explored,
         "pruned_to": result.pruned_to,
     }
+    return {str(k): _json_safe(v) for k, v in payload.items()}
+
+
+def _run_tune(spec: JobSpec) -> Dict[str, object]:
+    from repro.tuning.autotuner import AutoTuner
+
+    params = spec.params_dict()
+    pattern = load_pattern(spec.pattern, spec.dtype)
+    tuner = AutoTuner(spec.gpu, top_k=int(params.get("top_k", 5)))
+    return tune_payload(tuner.tune(pattern, spec.grid()))
 
 
 def _run_exhaustive(spec: JobSpec) -> Dict[str, object]:
@@ -293,31 +301,7 @@ def _run_baseline(spec: JobSpec) -> Dict[str, object]:
 
 
 def _run_predict(spec: JobSpec) -> Dict[str, object]:
-    from repro.model.roofline import predict_performance
-    from repro.sim.timing import simulate_performance
-
-    params = spec.params_dict()
-    pattern = load_pattern(spec.pattern, spec.dtype)
-    config = BlockingConfig(
-        bT=int(params.get("bT", 4)),
-        bS=tuple(params.get("bS", (256,) if pattern.ndim == 2 else (32, 32))),
-        hS=params.get("hS"),
-        register_limit=params.get("regs"),
-    )
-    gpu = get_gpu(spec.gpu)
-    grid = spec.grid()
-    predicted = predict_performance(pattern, grid, config, gpu)
-    simulated = simulate_performance(pattern, grid, config, spec.gpu)
-    return {
-        "bT": config.bT,
-        "bS": list(config.bS),
-        "hS": config.hS,
-        "regs": config.register_limit,
-        "model_gflops": predicted.gflops,
-        "simulated_gflops": simulated.gflops,
-        "model_bottleneck": predicted.bottleneck,
-        "simulated_bottleneck": simulated.bottleneck,
-    }
+    return run_predict_jobs([spec])[0]
 
 
 def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
@@ -337,7 +321,7 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
 
     from repro.frontend.stencil_detect import parse_stencil
     from repro.ir.compile import compile_pattern
-    from repro.model.batch import BatchModelEngine, ConfigBatch, supports_pattern
+    from repro.model.batch import BatchModelEngine, ConfigBatch
     from repro.model.roofline import predict_performance
     from repro.sim.executor import verify_blocking
     from repro.sim.timing import simulate_performance
@@ -409,7 +393,8 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
         for bT in (1, 2, 4)
     ]
     model_configs = [c for c in model_configs if c.is_valid(pattern)]
-    if not supports_pattern(pattern) or not model_configs:
+    if not model_configs:
+        # The detail text is part of stored payloads; it stays byte-stable.
         record("batch_vs_scalar_model", True, "pattern outside the batch engine's support")
     else:
         gpu = get_gpu(spec.gpu)
@@ -466,21 +451,8 @@ def predict_batch_key(spec: JobSpec) -> Tuple[object, ...]:
     return (spec.pattern, spec.gpu, spec.dtype, spec.interior, spec.time_steps)
 
 
-def predict_job_batchable(spec: JobSpec) -> bool:
-    """Whether the batched model engine can serve this job in-process."""
-    from repro.model.batch import supports_pattern
-
-    if spec.kind != "predict":
-        return False
-    try:
-        return supports_pattern(load_pattern(spec.pattern, spec.dtype))
-    except Exception:
-        return False
-
-
-def _predict_config(spec: JobSpec, ndim: int) -> BlockingConfig:
-    """The blocking configuration a predict job describes (same defaults as
-    the scalar runner)."""
+def predict_config(spec: JobSpec, ndim: int) -> BlockingConfig:
+    """The blocking configuration a predict job describes."""
     params = spec.params_dict()
     return BlockingConfig(
         bT=int(params.get("bT", 4)),
@@ -490,13 +462,34 @@ def _predict_config(spec: JobSpec, ndim: int) -> BlockingConfig:
     )
 
 
-def run_predict_jobs(specs: List[JobSpec]) -> List[Dict[str, object]]:
-    """Execute many predict jobs of one batch group in a single model pass.
+def predict_payload(
+    config: BlockingConfig,
+    model_gflops: float,
+    simulated_gflops: float,
+    model_bottleneck: str,
+    simulated_bottleneck: str,
+) -> Dict[str, object]:
+    """The stored payload of one predict job (shared with the service's hot path)."""
+    payload = {
+        "bT": config.bT,
+        "bS": list(config.bS),
+        "hS": config.hS,
+        "regs": config.register_limit,
+        "model_gflops": float(model_gflops),
+        "simulated_gflops": float(simulated_gflops),
+        "model_bottleneck": model_bottleneck,
+        "simulated_bottleneck": simulated_bottleneck,
+    }
+    return {str(k): _json_safe(v) for k, v in payload.items()}
 
-    All specs must share :func:`predict_batch_key`.  Payloads are exactly the
-    ones :func:`run_job` would produce for each spec — the batch engine is
-    bit-identical to the scalar model — just without one pool dispatch (and
-    one model evaluation) per job.
+
+def run_predict_jobs(specs: List[JobSpec]) -> List[Dict[str, object]]:
+    """Execute the predict jobs of one batch group in a single model pass.
+
+    All specs must share :func:`predict_batch_key`; a lone job is the
+    one-row case.  An invalid configuration fails the whole call, so the
+    scheduler re-runs a failing group job by job to give each job its own
+    error record.
     """
     from repro.model.batch import BatchModelEngine, ConfigBatch
 
@@ -505,31 +498,24 @@ def run_predict_jobs(specs: List[JobSpec]) -> List[Dict[str, object]]:
     if len({predict_batch_key(spec) for spec in specs}) != 1:
         raise ValueError("predict batch mixes incompatible jobs")
     pattern = load_pattern(specs[0].pattern, specs[0].dtype)
-    configs = [_predict_config(spec, pattern.ndim) for spec in specs]
+    configs = [predict_config(spec, pattern.ndim) for spec in specs]
     for config in configs:
-        # The scalar runner fails per job on invalid configurations; raising
-        # here sends the whole group down that path so each job still gets
-        # its own error record.
         config.validate(pattern)
     engine = BatchModelEngine(pattern, specs[0].grid(), get_gpu(specs[0].gpu))
     batch = ConfigBatch.from_configs(configs)
     traffic = engine.traffic(batch)
     predicted = engine.predict(batch, traffic)
     simulated = engine.simulate(batch, traffic)
-    payloads = []
-    for index, config in enumerate(configs):
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "model_gflops": float(predicted.gflops[index]),
-            "simulated_gflops": float(simulated.gflops[index]),
-            "model_bottleneck": predicted.bottleneck_name(index),
-            "simulated_bottleneck": simulated.bottleneck_name(index),
-        }
-        payloads.append({str(k): _json_safe(v) for k, v in payload.items()})
-    return payloads
+    return [
+        predict_payload(
+            config,
+            predicted.gflops[index],
+            simulated.gflops[index],
+            predicted.bottleneck_name(index),
+            simulated.bottleneck_name(index),
+        )
+        for index, config in enumerate(configs)
+    ]
 
 
 # ---------------------------------------------------------------------------

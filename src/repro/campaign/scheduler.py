@@ -37,7 +37,6 @@ from repro.campaign.jobs import (
     CampaignSpec,
     JobSpec,
     predict_batch_key,
-    predict_job_batchable,
     run_job,
     run_predict_jobs,
 )
@@ -333,7 +332,7 @@ class CampaignScheduler:
     def _run_predict_groups(
         self, jobs: List[JobSpec], progress: Optional[ProgressCallback]
     ) -> Tuple[List[JobSpec], int]:
-        """Serve batchable predict jobs in-process; return (leftover, configs).
+        """Serve predict jobs in-process; return (leftover, configs).
 
         Jobs are grouped by (pattern, grid, GPU) and each group is one call
         into the batched model engine.  A group that fails for any reason is
@@ -342,7 +341,7 @@ class CampaignScheduler:
         groups: Dict[Tuple[object, ...], List[JobSpec]] = {}
         leftover: List[JobSpec] = []
         for job in jobs:
-            if predict_job_batchable(job):
+            if job.kind == "predict":
                 groups.setdefault(predict_batch_key(job), []).append(job)
             else:
                 leftover.append(job)

@@ -9,8 +9,8 @@ Subcommands
     Generate CUDA kernel + host code and print (or save) it.
 ``an5d tune <benchmark> [--gpu V100 --dtype float]``
     Run the model-guided autotuner and report the chosen configuration.
-``an5d exhaustive <benchmark> [--gpu V100 --workers 4]``
-    Sweep the entire pruned search space (optionally in parallel).
+``an5d exhaustive <benchmark> [--gpu V100]``
+    Sweep the entire pruned search space in one vectorized pass.
 ``an5d predict <benchmark> --bT 8 --bS 256``
     Print the analytic model's prediction for one configuration.
 ``an5d verify <benchmark> [--bT 4 --bS 32]``
@@ -132,7 +132,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         gpu=args.gpu,
         dtype=args.dtype,
         time_steps=args.time_steps,
-        engine=args.engine,
     )
     row = result.as_row()
     print(f"best configuration for {args.stencil} on {args.gpu} ({args.dtype}):")
@@ -143,18 +142,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    from repro.model.batch import resolve_engine
-    from repro.stencils.library import load_pattern
-
-    engine = resolve_engine(args.engine, load_pattern(args.stencil, args.dtype))
     start = time.perf_counter()
     result = api.exhaustive(
         args.stencil,
         gpu=args.gpu,
         dtype=args.dtype,
         time_steps=args.time_steps,
-        workers=args.workers,
-        engine=engine,
     )
     elapsed = time.perf_counter() - start
     print(
@@ -166,7 +159,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     rate = result.evaluated / elapsed if elapsed > 0 else float("inf")
     print(
         f"evaluated {result.evaluated} configs in {elapsed:.3f}s "
-        f"({rate:.0f} configs/s, engine={engine})"
+        f"({rate:.0f} configs/s)"
     )
     return 0
 
@@ -1239,20 +1232,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_blocking_arguments(compile_parser)
     compile_parser.set_defaults(func=_cmd_compile)
 
-    engine_help = (
-        "model evaluation engine: 'batch' sweeps the whole space as arrays, "
-        "'scalar' walks one configuration at a time, 'auto' picks batch for "
-        "2-D/3-D stencils"
-    )
-
     tune_parser = sub.add_parser("tune", help="autotune a benchmark stencil")
     tune_parser.add_argument("stencil")
     tune_parser.add_argument("--gpu", default="V100")
     tune_parser.add_argument("--dtype", choices=("float", "double"), default="float")
     tune_parser.add_argument("--time-steps", type=int, default=1000)
-    tune_parser.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default="auto", help=engine_help
-    )
     tune_parser.set_defaults(func=_cmd_tune)
 
     exhaustive_parser = sub.add_parser(
@@ -1262,12 +1246,6 @@ def build_parser() -> argparse.ArgumentParser:
     exhaustive_parser.add_argument("--gpu", default="V100")
     exhaustive_parser.add_argument("--dtype", choices=("float", "double"), default="float")
     exhaustive_parser.add_argument("--time-steps", type=int, default=1000)
-    exhaustive_parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (scalar engine only)"
-    )
-    exhaustive_parser.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default="auto", help=engine_help
-    )
     exhaustive_parser.set_defaults(func=_cmd_exhaustive)
 
     predict_parser = sub.add_parser("predict", help="model + simulator prediction")

@@ -16,8 +16,6 @@ from repro.model.batch import (
     ConfigBatch,
     prune_mask,
     register_mask,
-    resolve_engine,
-    supports_pattern,
     validity_mask,
 )
 from repro.model.gpu_specs import GPUS, GpuSpec, get_gpu
@@ -62,9 +60,7 @@ __all__ = [
     "prune_mask",
     "register_mask",
     "register_pressure_ok",
-    "resolve_engine",
     "shared_memory_access_per_thread",
     "stencilgen_registers",
-    "supports_pattern",
     "validity_mask",
 ]

@@ -31,9 +31,13 @@ make that possible:
 path's ``math.ceil(a / b)`` agrees because every such ratio in the model is
 far below 2**53, where float division cannot cross an integer boundary.
 
-Configurations with non-default optimisation switches (single buffering,
-forced star/associative overrides) and 1-D patterns are outside the batch
-layout; callers fall back to the scalar path for those.
+Every search path (stage-1 ranking, stage-2 measurement, the exhaustive
+sweep) runs on this engine only; the scalar model stays behind the tests as
+the oracle.  Search only produces configurations with the default
+optimisation switches, which is all the layout represents
+(:meth:`ConfigBatch.from_configs` refuses anything else).  1-D patterns have
+no valid configuration at all — the pruning masks empty their space before
+an engine is built.
 """
 
 from __future__ import annotations
@@ -77,11 +81,6 @@ class BatchUnsupportedError(ValueError):
     """The configurations cannot be represented in the batch layout."""
 
 
-def supports_pattern(pattern: StencilPattern) -> bool:
-    """Whether the batch layout can represent this pattern's search space."""
-    return pattern.ndim in (2, 3)
-
-
 def is_standard_config(config: BlockingConfig) -> bool:
     """Default optimisation switches — the only ones the engine evaluates."""
     return (
@@ -90,19 +89,6 @@ def is_standard_config(config: BlockingConfig) -> bool:
         and config.associative_opt is None
         and not config.vectorized_smem
     )
-
-
-def resolve_engine(engine: str, pattern: StencilPattern) -> str:
-    """Normalise an ``--engine`` selector to ``"batch"`` or ``"scalar"``."""
-    if engine not in ("auto", "batch", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}; expected auto, batch or scalar")
-    if engine == "batch" and not supports_pattern(pattern):
-        raise ValueError(
-            f"batch engine does not support {pattern.ndim}-D patterns; use --engine scalar"
-        )
-    if engine == "auto":
-        return "batch" if supports_pattern(pattern) else "scalar"
-    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +162,7 @@ class ConfigBatch:
 
         Raises :class:`BatchUnsupportedError` for ragged spatial-block
         lengths or (unless ``check_switches`` is disabled — the pruning
-        masks do not depend on them) non-default optimisation switches;
-        callers catch it and fall back to the scalar path.
+        masks do not depend on them) non-default optimisation switches.
         """
         configs = list(configs)
         if not configs:
@@ -427,7 +412,7 @@ class BatchModelEngine:
     """
 
     def __init__(self, pattern: StencilPattern, grid: GridSpec, gpu: GpuSpec) -> None:
-        if not supports_pattern(pattern):
+        if pattern.ndim not in (2, 3):
             raise BatchUnsupportedError(
                 f"batch engine supports 2-D/3-D patterns, got {pattern.ndim}-D"
             )
@@ -742,6 +727,19 @@ class BatchModelEngine:
             time_shared_s=np.where(launchable, time_shared, inf),
             overhead_s=np.where(launchable, overhead, 0.0),
         )
+
+    def simulate_register_limits(
+        self, batch: ConfigBatch, limits: Sequence[Optional[int]]
+    ) -> Tuple[ConfigBatch, BatchMeasurement]:
+        """Simulate every row under every register limit.
+
+        The returned sweep is configuration-major, limit-minor
+        (:meth:`ConfigBatch.with_register_limits`).  Traffic does not depend
+        on the register limit, so one traffic pass over ``batch`` feeds the
+        whole sweep.
+        """
+        sweep = batch.with_register_limits(limits)
+        return sweep, self.simulate(sweep, self.traffic(batch).repeat(len(limits)))
 
     # -- scalar materialisation ----------------------------------------------
     def prediction(self, result: BatchPrediction, index: int) -> "PerformancePrediction":

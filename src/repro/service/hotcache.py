@@ -36,17 +36,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 import repro
-from repro.campaign.jobs import JobSpec, _json_safe, _predict_config, run_job
+from repro.campaign.jobs import JobSpec, predict_config, predict_payload, tune_payload
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.batch import (
     BatchMeasurement,
     BatchModelEngine,
     BatchPrediction,
-    BatchUnsupportedError,
     ConfigBatch,
     prune_mask,
-    supports_pattern,
 )
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.obs import MetricsRegistry, SingleFlightCache, get_registry
@@ -65,27 +63,23 @@ def _config_key(config: BlockingConfig) -> Tuple[object, ...]:
 
 @dataclass(frozen=True)
 class _HotEntry:
-    """One (pattern, grid, GPU)'s resident model state.
-
-    ``engine`` is ``None`` for patterns outside the batch layout (1-D);
-    their requests fall back to the scalar job runner (still cached).
-    """
+    """One (pattern, grid, GPU)'s resident model state."""
 
     pattern: StencilPattern
     grid: GridSpec
     gpu: GpuSpec
     space_size: int
-    engine: Optional[BatchModelEngine]
-    survivors: Optional[ConfigBatch]
-    predicted: Optional[BatchPrediction]
-    simulated: Optional[BatchMeasurement]
+    engine: BatchModelEngine
+    survivors: ConfigBatch
+    predicted: BatchPrediction
+    simulated: BatchMeasurement
     index: Dict[Tuple[object, ...], int]
     rank_order: Tuple[int, ...]
 
     def candidates(self) -> list:
         """The stage-1 ranking, materialised from the cached columns.
 
-        Exactly :meth:`AutoTuner._rank_batched`: stable descending sort over
+        Exactly :meth:`AutoTuner.rank`: stable descending sort over
         the predicted GFLOPS already held in ``predicted``.
         """
         return [
@@ -132,23 +126,13 @@ class HotModelCache:
         grid = spec.grid()
         gpu = get_gpu(spec.gpu)
         space = default_search_space(pattern)
-        if not supports_pattern(pattern):
-            return _HotEntry(
-                pattern=pattern, grid=grid, gpu=gpu, space_size=space.size(),
-                engine=None, survivors=None, predicted=None, simulated=None,
-                index={}, rank_order=(),
-            )
         candidates = ConfigBatch.from_space(space)
         survivors = candidates.select(prune_mask(pattern, candidates, gpu))
         engine = BatchModelEngine(pattern, grid, gpu)
-        if survivors.size:
-            traffic = engine.traffic(survivors)
-            predicted = engine.predict(survivors, traffic)
-            simulated = engine.simulate(survivors, traffic)
-            order = tuple(int(i) for i in np.argsort(-predicted.gflops, kind="stable"))
-        else:
-            predicted = simulated = None
-            order = ()
+        traffic = engine.traffic(survivors)
+        predicted = engine.predict(survivors, traffic)
+        simulated = engine.simulate(survivors, traffic)
+        order = tuple(int(i) for i in np.argsort(-predicted.gflops, kind="stable"))
         index = {
             _config_key(survivors.config(i)): i for i in range(survivors.size)
         }
@@ -174,35 +158,26 @@ class HotModelCache:
 
     def _build_predict(self, spec: JobSpec) -> Dict[str, object]:
         entry = self._entry(spec)
-        if entry.engine is None:
-            return run_job(spec)  # 1-D pattern: scalar path, still cached
-        config = _predict_config(spec, entry.pattern.ndim)
+        config = predict_config(spec, entry.pattern.ndim)
         config.validate(entry.pattern)
         row = entry.index.get(_config_key(config))
         if row is not None:
-            batch, predicted, simulated = entry.survivors, entry.predicted, entry.simulated
+            predicted, simulated = entry.predicted, entry.simulated
         else:
             # Outside the pruned space (explicit register cap, exotic block
             # shape): one-row batch evaluation on the resident engine.
-            try:
-                batch = ConfigBatch.from_configs([config])
-            except BatchUnsupportedError:
-                return run_job(spec)
+            batch = ConfigBatch.from_configs([config])
             traffic = entry.engine.traffic(batch)
             predicted = entry.engine.predict(batch, traffic)
             simulated = entry.engine.simulate(batch, traffic)
             row = 0
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "model_gflops": float(predicted.gflops[row]),
-            "simulated_gflops": float(simulated.gflops[row]),
-            "model_bottleneck": predicted.bottleneck_name(row),
-            "simulated_bottleneck": simulated.bottleneck_name(row),
-        }
-        return {str(k): _json_safe(v) for k, v in payload.items()}
+        return predict_payload(
+            config,
+            predicted.gflops[row],
+            simulated.gflops[row],
+            predicted.bottleneck_name(row),
+            simulated.bottleneck_name(row),
+        )
 
     # -- tune ------------------------------------------------------------------
     def tune(self, spec: JobSpec) -> Tuple[Dict[str, object], bool]:
@@ -214,26 +189,13 @@ class HotModelCache:
 
     def _build_tune(self, spec: JobSpec) -> Dict[str, object]:
         entry = self._entry(spec)
-        if entry.engine is None:
-            return run_job(spec)
         top_k = int(spec.params_dict().get("top_k", 5))
         tuner = AutoTuner(entry.gpu, top_k=top_k)
-        result = tuner.tune_ranked(
-            entry.pattern, entry.grid, entry.candidates(), explored=entry.space_size
+        return tune_payload(
+            tuner.tune_ranked(
+                entry.pattern, entry.grid, entry.candidates(), explored=entry.space_size
+            )
         )
-        config = result.best_config
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "tuned_gflops": result.best.measured_gflops,
-            "model_gflops": result.best.predicted_gflops,
-            "model_accuracy": result.model_accuracy,
-            "explored": result.explored,
-            "pruned_to": result.pruned_to,
-        }
-        return {str(k): _json_safe(v) for k, v in payload.items()}
 
 
 __all__ = ["HotModelCache"]

@@ -7,28 +7,34 @@ register limits, "runs" them on the timing simulator — the stand-in for the
 actual GPU measurements — and returns the configuration with the best
 simulated performance.
 
-Stage 1 defaults to the batched model engine (:mod:`repro.model.batch`):
-pruning and the roofline prediction for the whole space happen as a handful
-of array operations, and the stable descending sort reproduces the scalar
-ranking exactly (identical predictions, identical tie order).  Stage 2 is
-genuinely per-candidate simulator work and stays scalar.
+Both stages run on the batched model engine (:mod:`repro.model.batch`):
+stage 1 prunes and predicts the whole space as a handful of array
+operations, and stage 2 simulates the top ``k`` x register-limit cross
+product in one call.  The scalar model walks the same procedure one
+configuration at a time in :mod:`repro.tuning.reference`, the oracle the
+tests hold this module to bit for bit (identical predictions, measurements
+and tie order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask, resolve_engine
+from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask
 from repro.model.gpu_specs import GpuSpec, get_gpu
-from repro.model.roofline import PerformancePrediction, predict_performance
-from repro.sim.timing import SimulatedMeasurement, TimingSimulator
-from repro.tuning.pruning import prune_configurations
-from repro.tuning.search_space import REGISTER_LIMITS, SearchSpace, default_search_space
+from repro.model.roofline import PerformancePrediction
+from repro.sim.timing import SimulatedMeasurement
+from repro.tuning.search_space import (
+    REGISTER_LIMITS,
+    SearchSpace,
+    default_search_space,
+    validate_register_limits,
+)
 
 
 @dataclass(frozen=True)
@@ -87,18 +93,11 @@ class TuningResult:
 
 
 class AutoTuner:
-    """Model-guided tuner for one device.
+    """Model-guided tuner for one device."""
 
-    ``engine`` selects the stage-1 ranking implementation: ``"batch"`` (the
-    vectorized model engine, the ``"auto"`` choice for 2-D/3-D stencils) or
-    ``"scalar"``; both produce the identical candidate ranking.
-    """
-
-    def __init__(self, gpu: GpuSpec | str, top_k: int = 5, engine: str = "auto") -> None:
+    def __init__(self, gpu: GpuSpec | str, top_k: int = 5) -> None:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.top_k = top_k
-        self.engine = engine
-        self.simulator = TimingSimulator(self.gpu)
 
     # -- stage 1: model ranking -------------------------------------------------
     def rank(
@@ -107,29 +106,13 @@ class AutoTuner:
         grid: GridSpec,
         space: SearchSpace | None = None,
     ) -> List[TuningCandidate]:
-        """Rank all pruned configurations by predicted performance."""
-        space = space or default_search_space(pattern)
-        if resolve_engine(self.engine, pattern) == "batch":
-            return self._rank_batched(pattern, grid, space)
-        configurations = prune_configurations(pattern, space.configurations(), self.gpu)
-        candidates = [
-            TuningCandidate(config, predict_performance(pattern, grid, config, self.gpu))
-            for config in configurations
-        ]
-        candidates.sort(key=lambda c: c.predicted_gflops, reverse=True)
-        return candidates
+        """Rank all pruned configurations by predicted performance.
 
-    def _rank_batched(
-        self,
-        pattern: StencilPattern,
-        grid: GridSpec,
-        space: SearchSpace,
-    ) -> List[TuningCandidate]:
-        """Prune + predict the whole space in arrays, then sort stably.
-
-        A stable sort on the negated predictions reproduces ``list.sort``'s
-        ordering: descending by predicted GFLOPS, enumeration order on ties.
+        Prune + predict the whole space in arrays, then sort stably: a
+        stable sort on the negated predictions orders candidates descending
+        by predicted GFLOPS, enumeration order on ties.
         """
+        space = space or default_search_space(pattern)
         candidates = ConfigBatch.from_space(space)
         survivors = candidates.select(prune_mask(pattern, candidates, self.gpu))
         if survivors.size == 0:
@@ -143,23 +126,6 @@ class AutoTuner:
         ]
 
     # -- stage 2: simulated measurement -----------------------------------------
-    def _measure_with_register_limits(
-        self,
-        pattern: StencilPattern,
-        grid: GridSpec,
-        candidate: TuningCandidate,
-        register_limits: Sequence[Optional[int]],
-    ) -> TuningCandidate:
-        best: Optional[TuningCandidate] = None
-        for limit in register_limits:
-            config = candidate.config.with_register_limit(limit)
-            measured = self.simulator.simulate(pattern, grid, config)
-            scored = TuningCandidate(config, candidate.predicted, measured)
-            if best is None or scored.measured_gflops > best.measured_gflops:
-                best = scored
-        assert best is not None
-        return best
-
     def tune_ranked(
         self,
         pattern: StencilPattern,
@@ -170,17 +136,32 @@ class AutoTuner:
     ) -> TuningResult:
         """Stage 2 only: simulate the top candidates of a precomputed ranking.
 
-        Callers that cache the stage-1 ranking (the service's hot model-batch
-        cache) re-enter tuning here; the result is exactly what :meth:`tune`
-        returns for the ranking it would have computed itself.
+        One batched simulation covers every (candidate, register limit)
+        pair.  The first maximum wins, within a candidate's limits and
+        across candidates, so ties go to the earlier limit and the
+        better-ranked candidate.  Callers that cache the stage-1 ranking
+        (the service's hot model-batch cache) re-enter tuning here; the
+        result is exactly what :meth:`tune` returns for the ranking it would
+        have computed itself.
         """
+        limits = validate_register_limits(register_limits)
         if not ranked:
             raise ValueError(
                 f"no valid configuration for stencil {pattern.name!r} on {self.gpu.name}"
             )
+        top = list(ranked[: self.top_k])
+        engine = BatchModelEngine(pattern, grid, self.gpu)
+        _, measured = engine.simulate_register_limits(
+            ConfigBatch.from_configs([candidate.config for candidate in top]), limits
+        )
+        picks = np.argmax(measured.gflops.reshape(len(top), len(limits)), axis=1)
         finalists = [
-            self._measure_with_register_limits(pattern, grid, candidate, register_limits)
-            for candidate in ranked[: self.top_k]
+            TuningCandidate(
+                candidate.config.with_register_limit(limits[pick]),
+                candidate.predicted,
+                engine.measurement(measured, row * len(limits) + int(pick)),
+            )
+            for row, (candidate, pick) in enumerate(zip(top, picks))
         ]
         best = max(finalists, key=lambda c: c.measured_gflops)
         return TuningResult(
@@ -213,7 +194,6 @@ def tune(
     grid: GridSpec,
     gpu: GpuSpec | str,
     top_k: int = 5,
-    engine: str = "auto",
 ) -> TuningResult:
     """Convenience wrapper: tune ``pattern`` for ``gpu`` over ``grid``."""
-    return AutoTuner(gpu, top_k, engine=engine).tune(pattern, grid)
+    return AutoTuner(gpu, top_k).tune(pattern, grid)

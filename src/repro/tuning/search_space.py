@@ -19,6 +19,16 @@ from repro.ir.stencil import StencilPattern
 REGISTER_LIMITS: Tuple[Optional[int], ...] = (None, 32, 64, 96)
 
 
+def validate_register_limits(limits: Sequence[Optional[int]]) -> Tuple[Optional[int], ...]:
+    """The register-limit axis as a tuple; an empty axis measures nothing."""
+    limits = tuple(limits)
+    if not limits:
+        raise ValueError(
+            "register_limits is empty; pass (None,) to measure without a register cap"
+        )
+    return limits
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """The set of candidate blocking parameters for one stencil family."""

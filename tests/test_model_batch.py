@@ -3,7 +3,9 @@
 The batch engine's contract is bit-for-bit agreement with the scalar model:
 identical pruning masks, identical ``PerformancePrediction`` objects and
 identical ``SimulatedMeasurement`` objects for every configuration of the
-full default search space, across patterns, dtypes and both GPUs.
+full default search space, across patterns, dtypes and both GPUs.  The
+searches built on it (ranking, two-stage tuning, the exhaustive sweep) are
+held to the scalar walks of :mod:`repro.tuning.reference` the same way.
 """
 
 import numpy as np
@@ -17,8 +19,6 @@ from repro.model.batch import (
     ConfigBatch,
     prune_mask,
     register_mask,
-    resolve_engine,
-    supports_pattern,
     validity_mask,
 )
 from repro.model.gpu_specs import get_gpu
@@ -26,6 +26,7 @@ from repro.model.registers import register_pressure_ok
 from repro.model.roofline import predict_performance
 from repro.sim.timing import TimingSimulator
 from repro.stencils.library import load_pattern
+from repro.tuning import reference
 from repro.tuning.autotuner import AutoTuner
 from repro.tuning.exhaustive import exhaustive_search
 from repro.tuning.pruning import prune_configurations, pruning_statistics
@@ -148,8 +149,8 @@ def test_simulations_bit_identical_across_full_space(case):
 
 def test_exhaustive_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = exhaustive_search(pattern, grid, gpu, engine="batch")
-    scalar = exhaustive_search(pattern, grid, gpu, engine="scalar")
+    batched = exhaustive_search(pattern, grid, gpu)
+    scalar = reference.exhaustive_search(pattern, grid, gpu)
     assert batched.best_config == scalar.best_config
     assert batched.best_gflops == scalar.best_gflops  # exact float equality
     assert batched.evaluated == scalar.evaluated
@@ -157,20 +158,23 @@ def test_exhaustive_engines_agree_exactly(case):
 
 def test_rank_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = AutoTuner(gpu, engine="batch").rank(pattern, grid)
-    scalar = AutoTuner(gpu, engine="scalar").rank(pattern, grid)
+    batched = AutoTuner(gpu).rank(pattern, grid)
+    scalar = reference.rank(pattern, grid, gpu)
     assert [c.config for c in batched] == [c.config for c in scalar]
     assert [c.predicted for c in batched] == [c.predicted for c in scalar]
 
 
 def test_tune_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = AutoTuner(gpu, engine="batch").tune(pattern, grid)
-    scalar = AutoTuner(gpu, engine="scalar").tune(pattern, grid)
-    assert batched.best_config == scalar.best_config
-    assert batched.best.measured_gflops == scalar.best.measured_gflops
-    assert batched.best.predicted == scalar.best.predicted
-    assert batched.pruned_to == scalar.pruned_to
+    batched = AutoTuner(gpu).tune(pattern, grid)
+    scalar = reference.tune(pattern, grid, gpu)
+    # Every finalist, not only the winner: config (with the register limit
+    # stage 2 picked), prediction and the full SimulatedMeasurement.  Limits
+    # such as None and 96 often measure identically; the first must win.
+    assert len(batched.top_candidates) == len(scalar.top_candidates)
+    for got, want in zip(batched.top_candidates, scalar.top_candidates):
+        assert got == want, want.config.describe()
+    assert batched == scalar
 
 
 # -- unlaunchable and empty-space edges -----------------------------------------------
@@ -195,46 +199,36 @@ def test_batch_exhaustive_rejects_empty_space(v100):
     pattern = load_pattern("j2d5pt")
     space = SearchSpace(time_blocks=(), spatial_blocks=((128,),), stream_blocks=(256,))
     with pytest.raises(ValueError, match="no valid configuration"):
-        exhaustive_search(pattern, GridSpec((4096, 4096), 100), v100, space, engine="batch")
-
-
-# -- engine resolution ----------------------------------------------------------------
-
-
-def test_resolve_engine_rules():
-    pattern_2d = load_pattern("j2d5pt")
-    assert supports_pattern(pattern_2d)
-    assert resolve_engine("auto", pattern_2d) == "batch"
-    assert resolve_engine("scalar", pattern_2d) == "scalar"
-    with pytest.raises(ValueError):
-        resolve_engine("turbo", pattern_2d)
-
-
-def test_one_dimensional_pattern_falls_back_to_scalar():
-    from repro.ir.expr import BinOp, GridRead
-    from repro.ir.stencil import StencilPattern
-
-    expr = BinOp("+", GridRead("A", (-1,)), GridRead("A", (1,)))
-    pattern = StencilPattern(name="j1d", ndim=1, expr=expr)
-    assert not supports_pattern(pattern)
-    assert resolve_engine("auto", pattern) == "scalar"
-    with pytest.raises(ValueError, match="batch engine"):
-        resolve_engine("batch", pattern)
+        exhaustive_search(pattern, GridSpec((4096, 4096), 100), v100, space)
 
 
 # -- campaign predict batching --------------------------------------------------------
 
 
 def test_campaign_predict_batch_payloads_match_scalar_runner():
-    from repro.campaign.jobs import JobSpec, run_job, run_predict_jobs
+    from repro.campaign.jobs import (
+        JobSpec, predict_config, predict_payload, run_job, run_predict_jobs,
+    )
+    from repro.sim.timing import simulate_performance
 
     specs = [
         JobSpec("predict", "j2d5pt", "V100", "float", (512, 512), 50,
-                (("bT", bT), ("bS", (256,))))
+                (("bT", bT), ("bS", (256,)), ("regs", regs)))
         for bT in (1, 2, 4, 8)
+        for regs in (None, 64)
     ]
-    payloads = run_predict_jobs(specs)
-    assert payloads == [run_job(spec) for spec in specs]
+    pattern = load_pattern("j2d5pt")
+    expected = []
+    for spec in specs:
+        config = predict_config(spec, pattern.ndim)
+        predicted = predict_performance(pattern, spec.grid(), config, get_gpu("V100"))
+        simulated = simulate_performance(pattern, spec.grid(), config, "V100")
+        expected.append(predict_payload(
+            config, predicted.gflops, simulated.gflops,
+            predicted.bottleneck, simulated.bottleneck,
+        ))
+    assert run_predict_jobs(specs) == expected
+    assert [run_job(spec) for spec in specs] == expected
 
 
 def test_campaign_predict_batch_rejects_mixed_groups():

@@ -8,6 +8,7 @@ configurations sitting exactly on the register-limit pruning thresholds.
 
 import pytest
 
+from repro import api
 from repro.core.config import BlockingConfig
 from repro.ir.expr import BinOp, GridRead
 from repro.ir.stencil import GridSpec, StencilPattern
@@ -15,6 +16,7 @@ from repro.model.gpu_specs import get_gpu
 from repro.model.registers import estimate_registers, register_pressure_ok
 from repro.stencils.library import load_pattern
 from repro.tuning.autotuner import AutoTuner
+from repro.tuning.exhaustive import exhaustive_search
 from repro.tuning.pruning import prune_configurations, pruning_statistics
 from repro.tuning.search_space import (
     REGISTER_LIMITS,
@@ -80,10 +82,33 @@ def test_one_dimensional_pattern_has_no_valid_configuration():
     assert stats["invalid"] + stats["register_pruned"] == stats["total"]
 
 
-def test_autotuner_raises_cleanly_for_one_dimensional_pattern():
-    pattern = make_1d_pattern()
+ONE_D_GRID = GridSpec((1024,), 10)
+
+SEARCHES = {
+    "AutoTuner.tune": lambda pattern: AutoTuner("V100").tune(pattern, ONE_D_GRID),
+    "exhaustive_search": lambda pattern: exhaustive_search(pattern, ONE_D_GRID, "V100"),
+    "api.tune": lambda pattern: api.tune(pattern, grid=ONE_D_GRID),
+    "api.exhaustive": lambda pattern: api.exhaustive(pattern, grid=ONE_D_GRID),
+}
+
+
+@pytest.mark.parametrize("search", list(SEARCHES))
+def test_search_raises_cleanly_for_one_dimensional_pattern(search):
+    # The pruning masks empty a 1-D space before any model engine is built.
     with pytest.raises(ValueError, match="no valid configuration"):
-        AutoTuner("V100").tune(pattern, GridSpec((1024,), 10))
+        SEARCHES[search](make_1d_pattern())
+
+
+# -- register-limit axis --------------------------------------------------------------
+
+
+def test_empty_register_limits_are_refused():
+    pattern = load_pattern("j2d5pt")
+    grid = GridSpec((1024, 1024), 10)
+    with pytest.raises(ValueError, match="register_limits is empty"):
+        AutoTuner("V100").tune(pattern, grid, register_limits=())
+    with pytest.raises(ValueError, match="register_limits is empty"):
+        exhaustive_search(pattern, grid, "V100", register_limits=())
 
 
 # -- degenerate grids and blocks ------------------------------------------------------
