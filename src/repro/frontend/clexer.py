@@ -5,16 +5,22 @@ recognised: identifiers, integer and floating-point literals (with the usual
 ``f`` suffix), arithmetic and comparison operators, the modulo operator used
 for double buffering, assignment, increments, and the bracketing punctuation
 of loops and array subscripts.
+
+The whole source is scanned by one compiled master expression: every
+alternative is a token class or something to skip, and its last alternative
+catches any other character as an error, so ``finditer`` leaves no gaps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Pattern
 
 KEYWORDS = {"for", "if", "else", "int", "float", "double", "const", "return", "void"}
 
-# Multi-character operators must be listed before their prefixes.
+# Multi-character operators must be listed before their prefixes: the regex
+# alternation, like a prefix scan, takes the first operator that matches.
 _OPERATORS = [
     "<=",
     ">=",
@@ -40,7 +46,7 @@ _OPERATORS = [
     "&",
 ]
 
-_PUNCTUATION = {"(", ")", "[", "]", "{", "}", ";", ","}
+_PUNCTUATION = "()[]{};,"
 
 
 class LexerError(ValueError):
@@ -52,8 +58,7 @@ class LexerError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: str  # "ident", "keyword", "int", "float", "op", "punct", "eof"
@@ -65,117 +70,79 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
 
 
+@lru_cache(maxsize=64)
+def _master(alpha: str = "", digit: str = "", alnum: str = "") -> Pattern[str]:
+    """The master expression, with the non-ASCII characters of one source
+    added to the letter, digit and letter-or-digit classes.
+
+    Letters are what ``str.isalpha`` accepts, digits what ``str.isdigit``
+    accepts: wider than the regex ``\\d`` (superscript digits) and not the
+    same as ``\\w`` minus digits (numeric letters), so the classes are
+    spelled out per source instead of borrowed from ``re``.
+    """
+    letter = f"[A-Za-z_{re.escape(alpha)}]"
+    d = f"[0-9{re.escape(digit)}]"
+    word = f"[0-9A-Za-z_{re.escape(alnum)}]"
+    # A number is an int when its digits end it, or only an l/L/u/U suffix
+    # follows; a fraction, an exponent or an f/F suffix makes it a float.
+    mantissa = rf"(?=\.?{d}){d}*(?:\.{d}*)?"
+    operators = "|".join(re.escape(op) for op in _OPERATORS)
+    return re.compile(
+        rf"""
+        (?P<skip>[ \t\r\n]+ | //[^\n]* | \#[^\n]* | /\*(?s:.*?)\*/)
+      | (?P<unterminated>/\*)
+      | (?P<punct>[{re.escape(_PUNCTUATION)}])
+      | (?P<op>{operators})
+      | (?P<ident>{letter}{word}*)
+      | (?P<int>{d}+(?![.eEfF]|{d})[lLuU]?)
+      | (?P<badexp>{mantissa}[eE](?:[+-](?!{d})|(?![+-]|{d})))
+      | (?P<float>{mantissa}(?:[eE][+-]?{d}+)?[fFlLuU]?)
+      | (?P<error>(?s:.))
+        """,
+        re.VERBOSE,
+    )
+
+
+def _master_for(source: str) -> Pattern[str]:
+    if source.isascii():
+        return _master()
+    extra = sorted({ch for ch in source if not ch.isascii()})
+    return _master(
+        "".join(ch for ch in extra if ch.isalpha()),
+        "".join(ch for ch in extra if ch.isdigit()),
+        "".join(ch for ch in extra if ch.isalnum()),
+    )
+
+
 class Lexer:
-    """Streaming tokenizer over a source string."""
+    """Tokenizer over a source string."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif self.source.startswith("//", self.pos):
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            elif self.source.startswith("/*", self.pos):
-                end = self.source.find("*/", self.pos + 2)
-                if end < 0:
-                    raise self._error("unterminated block comment")
-                while self.pos < end + 2:
-                    self._advance()
-            elif ch == "#":
-                # Preprocessor lines (e.g. #define SIZE 512) are skipped; the
-                # frontend takes sizes as runtime parameters.
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
 
     def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token("eof", "", self.line, self.column)
-                return
-            start_line, start_col = self.line, self.column
-            ch = self.source[self.pos]
-            if ch.isalpha() or ch == "_":
-                yield self._lex_identifier(start_line, start_col)
-            elif ch.isdigit() or (ch == "." and self._peek_is_digit(1)):
-                yield self._lex_number(start_line, start_col)
-            elif ch in _PUNCTUATION:
-                self._advance()
-                yield Token("punct", ch, start_line, start_col)
+        source = self.source
+        line, line_start = 1, 0
+        for match in _master_for(source).finditer(source):
+            kind = match.lastgroup
+            text = match[0]
+            if kind == "skip":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = match.start() + text.rindex("\n") + 1
+                continue
+            column = match.start() - line_start + 1
+            if kind == "ident":
+                yield Token("keyword" if text in KEYWORDS else "ident", text, line, column)
+            elif kind == "badexp":
+                raise LexerError("malformed exponent", line, column + len(text))
+            elif kind == "unterminated":
+                raise LexerError("unterminated block comment", line, column)
+            elif kind == "error":
+                raise LexerError(f"unexpected character {text!r}", line, column)
             else:
-                op = self._match_operator()
-                if op is None:
-                    raise self._error(f"unexpected character {ch!r}")
-                yield Token("op", op, start_line, start_col)
-
-    def _peek_is_digit(self, lookahead: int) -> bool:
-        idx = self.pos + lookahead
-        return idx < len(self.source) and self.source[idx].isdigit()
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self.source[self.pos].isalnum() or self.source[self.pos] == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        is_float = False
-        while self.pos < len(self.source) and self.source[self.pos].isdigit():
-            self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] == ".":
-            is_float = True
-            self._advance()
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] in "eE":
-            is_float = True
-            self._advance()
-            if self.pos < len(self.source) and self.source[self.pos] in "+-":
-                self._advance()
-            if not (self.pos < len(self.source) and self.source[self.pos].isdigit()):
-                raise self._error("malformed exponent")
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] in "fF":
-            is_float = True
-            self._advance()
-        elif self.pos < len(self.source) and self.source[self.pos] in "lLuU":
-            self._advance()
-        text = self.source[start : self.pos]
-        return Token("float" if is_float else "int", text, line, column)
-
-    def _match_operator(self) -> str | None:
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return op
-        return None
+                yield Token(kind, text, line, column)
+        yield Token("eof", "", line, len(source) - line_start + 1)
 
 
 def tokenize(source: str) -> List[Token]:

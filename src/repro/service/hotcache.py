@@ -3,10 +3,12 @@
 The campaign queue is the right place for matrix sweeps, but a model-only
 prediction the batch engine answers in about a millisecond should not pay
 job-submission latency.  This module keeps one :class:`_HotEntry` per
-(pattern, grid, GPU, dtype, code-version): the loaded pattern, the
-:class:`~repro.model.batch.BatchModelEngine`, and the pruned search space as
-ConfigBatch columns with its traffic/prediction/simulation arrays already
-evaluated — the whole stage-1 tuning state, resident in memory.
+(pattern, grid, GPU, dtype, code-version): the loaded pattern, the stage-1
+:class:`~repro.tuning.autotuner.Ranking` (the pruned search space as
+ConfigBatch columns, its traffic and prediction arrays, their stable order
+and the :class:`~repro.model.batch.BatchModelEngine` that computed them) and
+the simulation arrays over the same rows — the whole stage-1 tuning state,
+resident in memory.  Nothing is materialised per configuration up front.
 
 On top of the entry sit two payload caches:
 
@@ -15,7 +17,8 @@ On top of the entry sit two payload caches:
   pruned space and from a single-row batch evaluation otherwise;
 * ``hot_tune`` — one payload per ``top_k``, produced by re-entering the
   autotuner's stage 2 (:meth:`~repro.tuning.autotuner.AutoTuner.tune_ranked`)
-  over the entry's cached ranking.
+  over the entry's ranking, which materialises only the top ``k``
+  candidates and simulates them on the entry's engine.
 
 All three caches are :class:`~repro.obs.SingleFlightCache` instances, so a
 stampede of identical concurrent requests runs one build and shares it, and
@@ -33,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 import repro
 from repro.campaign.jobs import JobSpec, predict_config, predict_payload, tune_payload
 from repro.core.config import BlockingConfig
@@ -42,14 +43,12 @@ from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.batch import (
     BatchMeasurement,
     BatchModelEngine,
-    BatchPrediction,
     ConfigBatch,
-    prune_mask,
 )
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.obs import MetricsRegistry, SingleFlightCache, get_registry
 from repro.stencils.library import load_pattern
-from repro.tuning.autotuner import AutoTuner, TuningCandidate
+from repro.tuning.autotuner import AutoTuner, Ranking
 from repro.tuning.search_space import default_search_space
 
 #: Distinct (pattern, grid, GPU, dtype) combinations kept hot.  The paper's
@@ -69,25 +68,14 @@ class _HotEntry:
     grid: GridSpec
     gpu: GpuSpec
     space_size: int
-    engine: BatchModelEngine
-    survivors: ConfigBatch
-    predicted: BatchPrediction
+    ranking: Ranking
     simulated: BatchMeasurement
     index: Dict[Tuple[object, ...], int]
-    rank_order: Tuple[int, ...]
 
-    def candidates(self) -> list:
-        """The stage-1 ranking, materialised from the cached columns.
-
-        Exactly :meth:`AutoTuner.rank`: stable descending sort over
-        the predicted GFLOPS already held in ``predicted``.
-        """
-        return [
-            TuningCandidate(
-                self.survivors.config(i), self.engine.prediction(self.predicted, i)
-            )
-            for i in self.rank_order
-        ]
+    @property
+    def survivors(self) -> ConfigBatch:
+        """The pruned configurations, in enumeration order."""
+        return self.ranking.survivors
 
 
 class HotModelCache:
@@ -126,20 +114,17 @@ class HotModelCache:
         grid = spec.grid()
         gpu = get_gpu(spec.gpu)
         space = default_search_space(pattern)
-        candidates = ConfigBatch.from_space(space)
-        survivors = candidates.select(prune_mask(pattern, candidates, gpu))
-        engine = BatchModelEngine(pattern, grid, gpu)
-        traffic = engine.traffic(survivors)
-        predicted = engine.predict(survivors, traffic)
-        simulated = engine.simulate(survivors, traffic)
-        order = tuple(int(i) for i in np.argsort(-predicted.gflops, kind="stable"))
+        ranking = Ranking.build(
+            pattern, grid, gpu, space, engine=BatchModelEngine(pattern, grid, gpu)
+        )
+        survivors = ranking.survivors
+        simulated = ranking.engine.simulate(survivors, ranking.predicted.traffic)
         index = {
             _config_key(survivors.config(i)): i for i in range(survivors.size)
         }
         return _HotEntry(
             pattern=pattern, grid=grid, gpu=gpu, space_size=space.size(),
-            engine=engine, survivors=survivors, predicted=predicted,
-            simulated=simulated, index=index, rank_order=order,
+            ranking=ranking, simulated=simulated, index=index,
         )
 
     # -- predict ---------------------------------------------------------------
@@ -162,14 +147,15 @@ class HotModelCache:
         config.validate(entry.pattern)
         row = entry.index.get(_config_key(config))
         if row is not None:
-            predicted, simulated = entry.predicted, entry.simulated
+            predicted, simulated = entry.ranking.predicted, entry.simulated
         else:
             # Outside the pruned space (explicit register cap, exotic block
             # shape): one-row batch evaluation on the resident engine.
             batch = ConfigBatch.from_configs([config])
-            traffic = entry.engine.traffic(batch)
-            predicted = entry.engine.predict(batch, traffic)
-            simulated = entry.engine.simulate(batch, traffic)
+            engine = entry.ranking.engine
+            traffic = engine.traffic(batch)
+            predicted = engine.predict(batch, traffic)
+            simulated = engine.simulate(batch, traffic)
             row = 0
         return predict_payload(
             config,
@@ -193,7 +179,7 @@ class HotModelCache:
         tuner = AutoTuner(entry.gpu, top_k=top_k)
         return tune_payload(
             tuner.tune_ranked(
-                entry.pattern, entry.grid, entry.candidates(), explored=entry.space_size
+                entry.pattern, entry.grid, entry.ranking, explored=entry.space_size
             )
         )
 

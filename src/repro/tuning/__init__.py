@@ -10,10 +10,11 @@ describes (model-guided pruning followed by measuring the top five).
 
 from repro.tuning.search_space import SearchSpace, default_search_space
 from repro.tuning.pruning import prune_configurations
-from repro.tuning.autotuner import AutoTuner, TuningCandidate, TuningResult, tune
+from repro.tuning.autotuner import AutoTuner, Ranking, TuningCandidate, TuningResult, tune
 
 __all__ = [
     "AutoTuner",
+    "Ranking",
     "SearchSpace",
     "TuningCandidate",
     "TuningResult",

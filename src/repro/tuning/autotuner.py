@@ -7,10 +7,11 @@ register limits, "runs" them on the timing simulator — the stand-in for the
 actual GPU measurements — and returns the configuration with the best
 simulated performance.
 
-Both stages run on the batched model engine (:mod:`repro.model.batch`):
+Both stages run on one batched model engine (:mod:`repro.model.batch`):
 stage 1 prunes and predicts the whole space as a handful of array
-operations, and stage 2 simulates the top ``k`` x register-limit cross
-product in one call.  The scalar model walks the same procedure one
+operations and keeps the result as a :class:`Ranking` over those columns,
+and stage 2 simulates the top ``k`` x register-limit cross product in one
+call on the ranking's engine.  The scalar model walks the same procedure one
 configuration at a time in :mod:`repro.tuning.reference`, the oracle the
 tests hold this module to bit for bit (identical predictions, measurements
 and tie order).
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask
+from repro.model.batch import BatchModelEngine, BatchPrediction, ConfigBatch, prune_mask
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.model.roofline import PerformancePrediction
 from repro.sim.timing import SimulatedMeasurement
@@ -92,6 +93,70 @@ class TuningResult:
         }
 
 
+class Ranking(Sequence[TuningCandidate]):
+    """Stage 1's result, held as the batch columns it was computed in.
+
+    ``survivors`` are the pruned configurations in enumeration order,
+    ``predicted`` the engine's predictions for them, ``order`` the stable
+    descending sort over the predicted GFLOPS (enumeration order on ties),
+    and ``engine`` the model engine that evaluated them, ready for stage 2.
+    ``len()`` is the pruned count; indexing or slicing materialises a
+    :class:`TuningCandidate` only for the rows asked for, so a tune job that
+    reads the top ``k`` builds ``k`` predictions, not one per survivor.
+    """
+
+    def __init__(
+        self,
+        survivors: ConfigBatch,
+        predicted: Optional[BatchPrediction],
+        engine: Optional[BatchModelEngine],
+    ) -> None:
+        self.survivors = survivors
+        self.predicted = predicted
+        self.engine = engine
+        self.order = (
+            np.argsort(-predicted.gflops, kind="stable")
+            if predicted is not None
+            else np.empty(0, dtype=np.intp)
+        )
+
+    @classmethod
+    def build(
+        cls,
+        pattern: StencilPattern,
+        grid: GridSpec,
+        gpu: GpuSpec,
+        space: SearchSpace,
+        engine: Optional[BatchModelEngine] = None,
+    ) -> "Ranking":
+        """Prune ``space`` and predict the survivors in one batch.
+
+        Without an ``engine`` one is built only when a configuration
+        survives, so a space the pruning masks empty (a 1-D pattern) never
+        reaches the engine's own checks; ``predicted`` and ``engine`` are
+        then None.
+        """
+        candidates = ConfigBatch.from_space(space)
+        survivors = candidates.select(prune_mask(pattern, candidates, gpu))
+        if engine is None and survivors.size:
+            engine = BatchModelEngine(pattern, grid, gpu)
+        predicted = engine.predict(survivors) if engine is not None else None
+        return cls(survivors, predicted, engine)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index: int | slice) -> TuningCandidate | List[TuningCandidate]:
+        if isinstance(index, slice):
+            return [self._candidate(row) for row in self.order[index]]
+        return self._candidate(self.order[index])
+
+    def _candidate(self, row: int) -> TuningCandidate:
+        return TuningCandidate(
+            self.survivors.config(row), self.engine.prediction(self.predicted, row)
+        )
+
+
 class AutoTuner:
     """Model-guided tuner for one device."""
 
@@ -105,54 +170,43 @@ class AutoTuner:
         pattern: StencilPattern,
         grid: GridSpec,
         space: SearchSpace | None = None,
-    ) -> List[TuningCandidate]:
+    ) -> Ranking:
         """Rank all pruned configurations by predicted performance.
 
         Prune + predict the whole space in arrays, then sort stably: a
         stable sort on the negated predictions orders candidates descending
         by predicted GFLOPS, enumeration order on ties.
         """
-        space = space or default_search_space(pattern)
-        candidates = ConfigBatch.from_space(space)
-        survivors = candidates.select(prune_mask(pattern, candidates, self.gpu))
-        if survivors.size == 0:
-            return []
-        model = BatchModelEngine(pattern, grid, self.gpu)
-        predicted = model.predict(survivors)
-        order = np.argsort(-predicted.gflops, kind="stable")
-        return [
-            TuningCandidate(survivors.config(i), model.prediction(predicted, i))
-            for i in order
-        ]
+        return Ranking.build(pattern, grid, self.gpu, space or default_search_space(pattern))
 
     # -- stage 2: simulated measurement -----------------------------------------
     def tune_ranked(
         self,
         pattern: StencilPattern,
         grid: GridSpec,
-        ranked: Sequence[TuningCandidate],
+        ranking: Ranking,
         explored: int,
         register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
     ) -> TuningResult:
         """Stage 2 only: simulate the top candidates of a precomputed ranking.
 
-        One batched simulation covers every (candidate, register limit)
-        pair.  The first maximum wins, within a candidate's limits and
-        across candidates, so ties go to the earlier limit and the
-        better-ranked candidate.  Callers that cache the stage-1 ranking
-        (the service's hot model-batch cache) re-enter tuning here; the
-        result is exactly what :meth:`tune` returns for the ranking it would
-        have computed itself.
+        One batched simulation, on the engine that ranked them, covers every
+        (candidate, register limit) pair.  The first maximum wins, within a
+        candidate's limits and across candidates, so ties go to the earlier
+        limit and the better-ranked candidate.  Callers that cache the
+        stage-1 ranking (the service's hot model-batch cache) re-enter
+        tuning here; the result is exactly what :meth:`tune` returns for the
+        ranking it would have computed itself.
         """
         limits = validate_register_limits(register_limits)
-        if not ranked:
+        if not ranking:
             raise ValueError(
                 f"no valid configuration for stencil {pattern.name!r} on {self.gpu.name}"
             )
-        top = list(ranked[: self.top_k])
-        engine = BatchModelEngine(pattern, grid, self.gpu)
+        top = ranking[: self.top_k]
+        engine = ranking.engine
         _, measured = engine.simulate_register_limits(
-            ConfigBatch.from_configs([candidate.config for candidate in top]), limits
+            ranking.survivors.select(ranking.order[: self.top_k]), limits
         )
         picks = np.argmax(measured.gflops.reshape(len(top), len(limits)), axis=1)
         finalists = [
@@ -171,7 +225,7 @@ class AutoTuner:
             best=best,
             top_candidates=finalists,
             explored=explored,
-            pruned_to=len(ranked),
+            pruned_to=len(ranking),
         )
 
     def tune(
@@ -183,9 +237,9 @@ class AutoTuner:
     ) -> TuningResult:
         """Full tuning: prune, rank, simulate the top candidates, pick the best."""
         space = space or default_search_space(pattern)
-        ranked = self.rank(pattern, grid, space)
+        ranking = self.rank(pattern, grid, space)
         return self.tune_ranked(
-            pattern, grid, ranked, explored=space.size(), register_limits=register_limits
+            pattern, grid, ranking, explored=space.size(), register_limits=register_limits
         )
 
 

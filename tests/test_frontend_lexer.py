@@ -1,7 +1,10 @@
 """Tests for the C-subset tokenizer."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from clexer_walker import walker_tokenize
 from repro.frontend.clexer import Lexer, LexerError, tokenize
 
 
@@ -83,6 +86,25 @@ def test_unknown_character_raises_with_position():
     assert "line 1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "source, message, line, column",
+    [
+        ("a @ b", "unexpected character '@'", 1, 3),
+        ("a\n  b $", "unexpected character '$'", 2, 5),
+        ("a /* oops", "unterminated block comment", 1, 3),
+        ("/* one */ x\n  y /* two\n", "unterminated block comment", 2, 5),
+        ("1.5e+", "malformed exponent", 1, 6),
+        ("x =\n 2e;", "malformed exponent", 2, 4),
+        ("/* a\nb */ 3E-x", "malformed exponent", 2, 9),
+    ],
+)
+def test_lexer_errors_report_line_and_column(source, message, line, column):
+    with pytest.raises(LexerError) as excinfo:
+        tokenize(source)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert str(excinfo.value) == f"{message} (line {line}, column {column})"
+
+
 def test_line_and_column_tracking():
     tokens = tokenize("a\n  b")
     assert tokens[0].line == 1 and tokens[0].column == 1
@@ -93,3 +115,37 @@ def test_full_stencil_line_tokenizes():
     source = "A[(t+1)%2][i][j] = (5.1f * A[t%2][i-1][j]) / 118;"
     token_values = values(source)
     assert "A" in token_values and "5.1f" in token_values and "118" in token_values
+
+
+# -- parity with the character-walking oracle ------------------------------------------
+
+# Single characters of the C subset, fragments that sit on lexer edge cases
+# (comments, exponents, suffixes), and non-ASCII characters whose str.isalpha /
+# str.isdigit answers differ from the regex \w / \d classes: letters, a
+# superscript digit, an Arabic-Indic decimal digit, a numeric letter and a
+# numeric non-letter.
+_PIECES = (
+    list("aAeEfFlLuUxz_09.+-*/%<>=!&|()[]{};,# \t\r\n@$")
+    + ["/*", "*/", "//", "1.5e+", "2e-", ".5", "0.5f", "7u", "for", "int", "double"]
+    + ["é", "ß", "\u00b2", "\u0663", "\u4e00", "\u00bd", "\u00a0"]
+)
+
+
+def _outcome(lexer, source):
+    try:
+        return lexer(source)
+    except LexerError as error:
+        return (str(error), error.line, error.column)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_regex_lexer_matches_character_walker(source):
+    assert _outcome(tokenize, source) == _outcome(walker_tokenize, source)
+
+
+def test_regex_lexer_matches_walker_on_non_ascii_classes():
+    # "\u00b2" is a digit to str.isdigit but not to \d; "\u00bd" is numeric
+    # (\w) but neither a letter nor a digit; "\u4e00" is a numeric letter.
+    for source in ("x\u00b2 = 1", "\u00b2\u00b2.5e\u00b2", "a\u00bd", "\u00bd", "\u4e00\u00b2 \u0663"):
+        assert _outcome(tokenize, source) == _outcome(walker_tokenize, source), source

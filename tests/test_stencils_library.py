@@ -2,12 +2,17 @@
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.ir.expr import walk
+from repro.ir.stencil import StencilPattern
+from repro.stencils import library
 from repro.stencils.library import (
     BENCHMARKS,
+    SCENARIOS,
     DEFAULT_2D_GRID,
     DEFAULT_3D_GRID,
     FIGURE6_NAMES,
@@ -189,6 +194,56 @@ def test_dynamic_names_resolve_beyond_table3():
         pattern = load_pattern(name)
         assert pattern.name == name
         assert pattern.ndim in (2, 3)
+
+
+def _canonical(expr):
+    """The tree as a flat pre-order list of (node type, arity, scalar fields).
+
+    Compares expressions without the recursive dataclass ``==``.
+    """
+    return [
+        (
+            type(node).__name__,
+            len(node.children()),
+            tuple(
+                getattr(node, f.name)
+                for f in fields(node)
+                if f.name not in ("lhs", "rhs", "operand", "args")
+            ),
+        )
+        for node in walk(expr)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", list(BENCHMARKS) + list(SCENARIOS) + ["fuzz-5-0", "fuzz-5-1"]
+)
+def test_load_pattern_matches_a_fresh_parse_in_both_dtypes(name):
+    for dtype in ("float", "double"):
+        loaded = load_pattern(name, dtype)
+        fresh = get_benchmark(name).pattern(dtype)
+        for f in fields(StencilPattern):
+            if f.name == "expr":
+                assert _canonical(loaded.expr) == _canonical(fresh.expr), (name, dtype)
+            else:
+                assert getattr(loaded, f.name) == getattr(fresh, f.name), (name, dtype, f.name)
+
+
+def test_load_pattern_parses_each_name_once(monkeypatch):
+    # Names no other test loads, so the caches start cold for them.
+    names = ["vstar2d3r-s9017", "astar3d2x1x3r"]
+    parsed = []
+    parse = library.parse_stencil
+
+    def counting_parse(source, name="stencil", dtype=None):
+        parsed.append(name)
+        return parse(source, name=name, dtype=dtype)
+
+    monkeypatch.setattr(library, "parse_stencil", counting_parse)
+    for dtype in ("double", "float", "double"):
+        for name in names:
+            assert load_pattern(name, dtype).dtype == dtype
+    assert parsed == names
 
 
 def test_box3d_beyond_radius4_is_rejected():

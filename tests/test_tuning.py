@@ -5,9 +5,11 @@ import pytest
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec
 from repro.stencils.library import load_pattern
-from repro.tuning.autotuner import AutoTuner, tune
+from repro.model.batch import BatchModelEngine
+from repro.tuning import reference
+from repro.tuning.autotuner import AutoTuner, Ranking, tune
 from repro.tuning.pruning import prune_configurations, pruning_statistics
-from repro.tuning.search_space import default_search_space, sconf_space
+from repro.tuning.search_space import SearchSpace, default_search_space, sconf_space
 
 
 # The paper performs its parameter search on 8,192^2 grids with 120
@@ -76,6 +78,45 @@ def test_rank_orders_by_predicted_performance(j2d5pt, v100):
     predicted = [c.predicted_gflops for c in ranked]
     assert predicted == sorted(predicted, reverse=True)
     assert ranked[0].measured is None
+
+
+def test_ranking_is_a_lazy_sequence_over_the_reference_order(j2d5pt, v100):
+    ranking = AutoTuner(v100).rank(j2d5pt, SMALL_2D_GRID)
+    expected = reference.rank(j2d5pt, SMALL_2D_GRID, v100)
+    assert isinstance(ranking, Ranking)
+    assert len(ranking) == len(expected) == ranking.survivors.size
+    assert ranking[0] == expected[0]
+    assert ranking[-1] == expected[-1]
+    assert ranking[2:5] == expected[2:5]
+    assert list(ranking) == expected
+    with pytest.raises(IndexError):
+        ranking[len(expected)]
+
+
+def test_ranking_of_an_empty_space_builds_no_engine(j2d5pt, v100):
+    space = SearchSpace(time_blocks=(), spatial_blocks=((128,),), stream_blocks=(None,))
+    ranking = AutoTuner(v100).rank(j2d5pt, SMALL_2D_GRID, space)
+    assert len(ranking) == 0 and not ranking and list(ranking) == []
+    assert ranking.engine is None
+
+
+def test_tune_materialises_only_the_top_k_on_one_engine(j2d5pt, monkeypatch):
+    counts = {"engines": 0, "predictions": 0}
+    build, prediction = BatchModelEngine.__init__, BatchModelEngine.prediction
+
+    def counting_build(self, *args, **kwargs):
+        counts["engines"] += 1
+        build(self, *args, **kwargs)
+
+    def counting_prediction(self, *args, **kwargs):
+        counts["predictions"] += 1
+        return prediction(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchModelEngine, "__init__", counting_build)
+    monkeypatch.setattr(BatchModelEngine, "prediction", counting_prediction)
+    result = AutoTuner("V100", top_k=3).tune(j2d5pt, SMALL_2D_GRID)
+    assert result.pruned_to > 3
+    assert counts == {"engines": 1, "predictions": 3}
 
 
 def test_tune_returns_best_of_topk(j2d5pt):
